@@ -32,11 +32,12 @@ test-race:
 	$(GO) test -race ./internal/telemetry/... ./internal/rpc/... ./internal/kvstore/... ./internal/lease/... ./internal/mds/... ./internal/replication/... ./internal/server/... ./internal/client/...
 
 # The failure-injection suites: primary kills mid-write-storm, failover
-# promotion, replication gap/overflow resyncs, and the scenario harness
-# itself — all under the race detector. The failover tests are thin
-# wrappers over scenarios/kill-primary-{sync,async}.yaml.
+# promotion, replication gap/overflow resyncs, exactly-once replay of
+# mutations whose responses were lost (and the misattribution proof),
+# and the scenario harness itself — all under the race detector. The
+# failover tests are thin wrappers over scenarios/kill-primary-{sync,async}.yaml.
 chaos:
-	$(GO) test -race -run 'Chaos|Failover|Resync|OnlineLoop' ./internal/server/... ./internal/replication/...
+	$(GO) test -race -run 'Chaos|Failover|Resync|OnlineLoop|Replay|Misattrib' ./internal/server/... ./internal/replication/... ./internal/client/... ./internal/mds/...
 	$(GO) test -race ./internal/scenario/...
 
 # The full scenario library under its fixed seeds: every run must go

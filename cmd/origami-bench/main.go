@@ -325,7 +325,7 @@ func main() {
 		readPct    = flag.Int("readpct", 0, "specify the -tcp mix from the read side instead: 100 is a pure stat/readdir storm (overrides -writepct)")
 		cacheMode  = flag.String("cache", "leases", "SDK cache mode for -tcp: leases, off, or both (A/B comparison)")
 		commitMode = flag.String("commit-mode", "sync-fsync", "durability policy for -tcp: sync-fsync, sync-repl, async, or all (matrix; replicated modes force >= 2 MDSs)")
-		batchFlag  = flag.Int("batch", 0, "SDK pipelined-submission window for -tcp (sub-ops per MethodBatch frame; 0 disables batching)")
+		batchFlag  = flag.Int("batch", 0, "SDK pipelined-submission window for -tcp (sub-ops per MethodBatch frame; 0 or 1 sends one op per frame)")
 		batchDelay = flag.Duration("batch-delay", 0, "linger before a partial batch frame flushes (0 = SDK default)")
 		clients    = flag.Int("clients", 0, "simulated SDK clients for -tcp (virtual clients sharing transports; 0 = one shared client)")
 		jsonOut    = flag.String("json-out", "BENCH_tcp.json", "write the -tcp results as JSON to this file (empty disables)")

@@ -14,12 +14,14 @@ import (
 	"origami/internal/rpc"
 )
 
-// Pipelined submission: instead of one RPC frame per mutation, the SDK
-// coalesces concurrent small mutations (create, mkdir, remove, setattr)
-// bound for the same owner MDS into one MethodBatch frame. The shard
-// applies the frame as a single atomic WAL batch record, so the commit
-// pipeline charges one ack wait for the whole frame — this is what lets
-// the async commit mode amortise its durability window across many ops.
+// Every mutation (create, mkdir, remove, setattr, same-shard rename) is
+// a sub-op of a MethodBatch frame. With BatchWindow > 1 the SDK
+// coalesces concurrent mutations bound for the same owner MDS into one
+// frame, which the shard applies as a single atomic WAL batch record, so
+// the commit pipeline charges one ack wait for the whole frame — this is
+// what lets the async commit mode amortise its durability window across
+// many ops. With BatchWindow <= 1 each frame carries one op and is sent
+// inline by its caller.
 //
 // The batcher is self-clocking, the same leader/follower discipline WAL
 // group commit uses: an op arriving when no frame is in flight for its
@@ -27,11 +29,10 @@ import (
 // arriving while that frame is on the wire queue up and ride the next
 // one — frame size adapts to load with no linger-delay tuning.
 //
-// Every sub-op carries a (clientID, opID) identity. A frame that dies on
-// the wire is re-sent once — to the map's current owner, which after a
-// failover is the promoted backup — and the shard's replay table (or the
-// namespace itself, via EEXIST + lookup) deduplicates ops the first
-// attempt already applied.
+// Every sub-op carries a (clientID, opID) identity, allocated once per
+// SDK operation: each retry of the operation re-sends the same identity,
+// so the shard's replay table answers an op an earlier attempt already
+// applied instead of applying it twice.
 
 // DefaultBatchDelay is the safety-net linger: a queued op is flushed
 // after at most this long even if the leader/follower handoff it
@@ -44,13 +45,12 @@ type batchOutcome struct {
 	res    mds.BatchResult
 	grants []lease.Grant
 	err    error // frame-level failure (transport, decode)
-	resent bool  // the frame was re-sent after a transport failure
 }
 
 type pendingOp struct {
-	sub    []byte
-	parent namespace.Ino
-	done   chan batchOutcome
+	ctx  context.Context // the SDK op's trace context
+	sub  []byte
+	done chan batchOutcome
 }
 
 // pendingOpPool recycles ops (and their 1-slot channels): every mutation
@@ -74,7 +74,7 @@ type batcher struct {
 	clientID uint64
 	opSeq    atomic.Uint64
 
-	frames atomic.Int64 // MethodBatch frames sent (incl. re-sends)
+	frames atomic.Int64 // MethodBatch frames sent
 	ops    atomic.Int64 // sub-ops carried by those frames
 
 	mu      sync.Mutex
@@ -84,6 +84,9 @@ type batcher struct {
 }
 
 func newBatcher(c *Client, window int, delay time.Duration) *batcher {
+	if window < 1 {
+		window = 1
+	}
 	if delay <= 0 {
 		delay = DefaultBatchDelay
 	}
@@ -134,10 +137,11 @@ func (b *batcher) nextOpID() uint64 { return b.opSeq.Add(1) }
 // frame completes. When no frame is in flight for the owner the op
 // leads one immediately; otherwise it queues and rides the next frame
 // (dispatched by the leader's completion drain). A full window always
-// flushes inline, concurrently with any leader frame.
-func (b *batcher) do(owner int, parent namespace.Ino, sub []byte) batchOutcome {
+// flushes inline, concurrently with any leader frame — with a window of
+// one, every op is its own inline frame.
+func (b *batcher) do(ctx context.Context, owner int, sub []byte) batchOutcome {
 	op := pendingOpPool.Get().(*pendingOp)
-	op.sub, op.parent = sub, parent
+	op.ctx, op.sub = ctx, sub
 	b.mu.Lock()
 	q := append(b.queues[owner], op)
 	switch {
@@ -165,7 +169,7 @@ func (b *batcher) do(owner int, parent namespace.Ino, sub []byte) batchOutcome {
 		b.mu.Unlock()
 	}
 	out := <-op.done
-	op.sub = nil
+	op.ctx, op.sub = nil, nil
 	pendingOpPool.Put(op)
 	return out
 }
@@ -216,184 +220,64 @@ func (b *batcher) flushOwner(owner int) {
 }
 
 // flush sends one MethodBatch frame and fans results out to the waiters.
+// The frame travels under the first op's trace. A failed frame fails
+// every op in it; the SDK operation's retry loop re-sends each op under
+// its original identity.
 func (b *batcher) flush(owner int, ops []*pendingOp) {
 	subs := make([][]byte, len(ops))
 	for i, op := range ops {
 		subs[i] = op.sub
 	}
-	frame := mds.EncodeBatchRequest(b.clientID, subs)
 	b.frames.Add(1)
 	b.ops.Add(int64(len(ops)))
 	b.c.reg.Counter("client.batch.frames").Inc()
-	body, err := b.c.call(context.Background(), owner, mds.MethodBatch, frame)
-	resent := false
-	if err != nil && rpc.IsRetryable(err) {
-		// The owner may be mid-failover. Refresh the map and re-send the
-		// SAME frame (same op IDs) once to whoever owns the first op's
-		// directory now; the shard's replay table answers any op the
-		// first attempt already applied.
-		time.Sleep(b.c.cfg.RetryBackoff)
-		_ = b.c.RefreshMap()
-		target := owner
-		if p, ok := b.c.pinOf(ops[0].parent); ok {
-			target = p
+	body, err := b.c.call(ops[0].ctx, owner, mds.MethodBatch, mds.EncodeBatchRequest(b.clientID, subs))
+	var results []mds.BatchResult
+	var grants []lease.Grant
+	if err == nil {
+		results, grants, err = mds.DecodeBatchResponse(body)
+		if err == nil && len(results) != len(ops) {
+			err = rpc.ErrTruncated
 		}
-		resent = true
-		b.frames.Add(1)
-		b.c.reg.Counter("client.batch.resends").Inc()
-		body, err = b.c.call(context.Background(), target, mds.MethodBatch, frame)
-	}
-	if err != nil {
-		for _, op := range ops {
-			op.done <- batchOutcome{err: err, resent: resent}
-		}
-		return
-	}
-	results, grants, derr := mds.DecodeBatchResponse(body)
-	if derr == nil && len(results) != len(ops) {
-		derr = rpc.ErrTruncated
-	}
-	if derr != nil {
-		for _, op := range ops {
-			op.done <- batchOutcome{err: derr, resent: resent}
-		}
-		return
 	}
 	for i, op := range ops {
+		if err != nil {
+			op.done <- batchOutcome{err: err}
+			continue
+		}
 		if results[i].Replayed {
 			b.c.reg.Counter("client.batch.replays").Inc()
 		}
-		op.done <- batchOutcome{res: results[i], grants: grants, resent: resent}
+		op.done <- batchOutcome{res: results[i], grants: grants}
 	}
 }
 
-// batchCreateOp runs one create through the batcher. handled=false means
-// the caller must run the single-op path instead (batch-conflict EBUSY,
-// whose lock-retry loops live there). transportLost accumulates whether
-// any attempt may have reached the shard before dying.
-func (c *Client) batchCreateOp(ctx context.Context, owner int, parent namespace.Ino, name string, typ namespace.FileType, transportLost *bool) (*namespace.Inode, bool, error) {
-	sub := mds.EncodeBatchCreate(c.batch.nextOpID(), parent, name, typ)
-	out := c.batch.do(owner, parent, sub)
-	if out.resent {
-		*transportLost = true
+// mutate sends one encoded sub-op to owner through the batcher and
+// returns the applied inode (nil for removes) with the frame's grant
+// trailer, which it folds into the cache as this client's own mutation.
+// A frame-level failure and the op's own coded failure both come back
+// as the error.
+func (c *Client) mutate(ctx context.Context, owner int, sub []byte) (*namespace.Inode, []lease.Grant, error) {
+	out := c.batch.do(ctx, owner, sub)
+	if out.err == nil {
+		out.err = out.res.Err
 	}
 	if out.err != nil {
-		if rpc.IsRetryable(out.err) {
-			*transportLost = true
-		}
-		return nil, true, out.err
+		return nil, nil, out.err
 	}
-	res := out.res
-	if res.Err != nil {
-		switch mds.ErrCode(res.Err) {
-		case mds.CodeBusy:
-			return nil, false, res.Err
-		case mds.CodeExist:
-			if *transportLost {
-				// An earlier attempt landed (or the promoted backup
-				// replayed it): the entry is ours — fetch it instead of
-				// surfacing a spurious EEXIST.
-				if in, ok := c.lookupOwn(ctx, owner, parent, name); ok {
-					return in, true, nil
-				}
-			}
-		}
-		return nil, true, res.Err
-	}
-	c.observeGrants(out.grants, true)
-	if c.cache != nil && res.Inode != nil {
-		for _, g := range out.grants {
-			if g.Dir == parent {
-				c.cache.Put(g, name, res.Inode)
-			}
-		}
-	}
-	return res.Inode, true, nil
+	c.observeGrants(ctx, out.grants, true)
+	return out.res.Inode, out.grants, nil
 }
 
-// batchRemoveOp runs one remove through the batcher; handled=false falls
-// back to the single-op path (EBUSY shape conflicts).
-func (c *Client) batchRemoveOp(owner int, parent namespace.Ino, name string, transportLost *bool) (bool, error) {
-	sub := mds.EncodeBatchRemove(c.batch.nextOpID(), parent, name)
-	out := c.batch.do(owner, parent, sub)
-	if out.resent {
-		*transportLost = true
+// cachePut seeds (dir, name) → in under the grant for dir, if the
+// response carried one.
+func (c *Client) cachePut(grants []lease.Grant, dir namespace.Ino, name string, in *namespace.Inode) {
+	if c.cache == nil || in == nil {
+		return
 	}
-	if out.err != nil {
-		if rpc.IsRetryable(out.err) {
-			*transportLost = true
-		}
-		return true, out.err
-	}
-	res := out.res
-	if res.Err != nil {
-		switch mds.ErrCode(res.Err) {
-		case mds.CodeBusy:
-			return false, res.Err
-		case mds.CodeNoEnt:
-			if *transportLost {
-				// A previous attempt's remove reached the shard; the entry
-				// is gone, which is what the caller asked for.
-				if c.cache != nil {
-					c.cache.DropEntry(parent, name)
-				}
-				return true, nil
-			}
-		}
-		return true, res.Err
-	}
-	c.observeGrants(out.grants, true)
-	if c.cache != nil {
-		c.cache.DropEntry(parent, name)
-		for _, g := range out.grants {
-			if g.Dir == parent {
-				c.cache.PutNegative(g, name)
-			}
+	for _, g := range grants {
+		if g.Dir == dir {
+			c.cache.Put(g, name, in)
 		}
 	}
-	return true, nil
-}
-
-// batchSetattrOp runs one setattr through the batcher; handled=false
-// falls back to the single-op path (EBUSY binding conflicts). Setattr is
-// naturally idempotent (absolute size/mode), so replay needs no special
-// casing beyond the shard's dedup table.
-func (c *Client) batchSetattrOp(owner int, ino namespace.Ino, parent namespace.Ino, size int64, mode uint16) (*namespace.Inode, bool, error) {
-	sub := mds.EncodeBatchSetattr(c.batch.nextOpID(), ino, size, mode)
-	out := c.batch.do(owner, parent, sub)
-	if out.err != nil {
-		return nil, true, out.err
-	}
-	res := out.res
-	if res.Err != nil {
-		if mds.ErrCode(res.Err) == mds.CodeBusy {
-			return nil, false, res.Err
-		}
-		return nil, true, res.Err
-	}
-	c.observeGrants(out.grants, true)
-	if c.cache != nil && res.Inode != nil {
-		for _, g := range out.grants {
-			if g.Dir == res.Inode.Parent {
-				c.cache.Put(g, res.Inode.Name, res.Inode)
-			}
-		}
-	}
-	return res.Inode, true, nil
-}
-
-// lookupOwn fetches (parent, name) after a replayed create's EEXIST —
-// the entry is this client's own earlier write.
-func (c *Client) lookupOwn(ctx context.Context, owner int, parent namespace.Ino, name string) (*namespace.Inode, bool) {
-	var lw rpc.Wire
-	lw.U64(uint64(parent)).Str(name)
-	lbody, lerr := c.callIdem(ctx, owner, mds.MethodLookup, lw.Bytes())
-	if lerr != nil {
-		return nil, false
-	}
-	in, _, derr := decodeInodeGrants(lbody)
-	if derr != nil {
-		return nil, false
-	}
-	return in, true
 }

@@ -58,9 +58,9 @@ type Config struct {
 	// telemetry default; negative disables slow-op capture).
 	SlowOpThreshold time.Duration
 	// BatchWindow enables pipelined submission when > 1: up to this many
-	// concurrent small mutations bound for the same owner MDS coalesce
-	// into one MethodBatch frame (applied there as one atomic WAL batch
-	// record). 0 or 1 keeps the one-frame-per-op wire behaviour.
+	// concurrent mutations bound for the same owner MDS coalesce into one
+	// MethodBatch frame (applied there as one atomic WAL batch record).
+	// 0 or 1 sends every mutation as a one-op frame of its own.
 	BatchWindow int
 	// BatchDelay is how long a partial batch frame lingers for company
 	// before flushing (default DefaultBatchDelay).
@@ -93,9 +93,9 @@ type Client struct {
 	// owner-served responses carry; see internal/lease.
 	cache *lease.ClientCache
 
-	// batch is the pipelined-submission coalescer (nil when BatchWindow
-	// disables batching). Forks share the root's batcher — their ops ride
-	// the same frames — while keeping their own caches.
+	// batch submits every mutation as a MethodBatch sub-op. Forks share
+	// the root's batcher — their ops ride the same frames and draw op IDs
+	// from one replay identity — while keeping their own caches.
 	batch *batcher
 
 	// forked marks a virtual client made by Fork: it shares the parent's
@@ -111,6 +111,9 @@ type Client struct {
 	pins       map[namespace.Ino]int
 	reps       map[namespace.Ino]mds.ReplicaMapEntry
 	mapVersion uint64
+	// mapSeen is the newest map version fetched or announced by a
+	// grant; a grant refreshes the map only when it names a newer one.
+	mapSeen uint64
 
 	// repRR round-robins read RPCs across {owner} ∪ replicas of a
 	// replicated subtree.
@@ -135,25 +138,23 @@ type Stats struct {
 	RetriesExhausted int64
 	// BatchFrames counts MethodBatch wire frames sent and BatchedOps the
 	// sub-ops they carried — shared across a root client and its forks
-	// (frames coalesce across them). RPC-per-op accounting must use
-	// these: each frame is one RPC carrying many ops.
+	// (frames coalesce across them, and are sent through the root's
+	// transports). RPC-per-op accounting must use these: each frame is
+	// one RPC carrying one or more ops.
 	BatchFrames int64
 	BatchedOps  int64
 }
 
 // Stats snapshots the client counters, including the retry budget spend.
 func (c *Client) Stats() Stats {
-	st := Stats{
+	return Stats{
 		RPCs:             c.RPCCount.Load(),
 		Ops:              c.Ops.Load(),
 		Retries:          c.Retries.Load(),
 		RetriesExhausted: c.RetriesExhausted.Load(),
+		BatchFrames:      c.batch.frames.Load(),
+		BatchedOps:       c.batch.ops.Load(),
 	}
-	if c.batch != nil {
-		st.BatchFrames = c.batch.frames.Load()
-		st.BatchedOps = c.batch.ops.Load()
-	}
-	return st
 }
 
 // Dial connects to every MDS in the cluster. Connections redial
@@ -177,9 +178,7 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.Cache != "off" {
 		c.cache = lease.NewClientCache(reg)
 	}
-	if cfg.BatchWindow > 1 {
-		c.batch = newBatcher(c, cfg.BatchWindow, cfg.BatchDelay)
-	}
+	c.batch = newBatcher(c, cfg.BatchWindow, cfg.BatchDelay)
 	if cfg.TraceSampleRate >= 0 {
 		c.tracer = telemetry.NewTracer("client", telemetry.TracerConfig{
 			SampleRate:    cfg.TraceSampleRate,
@@ -232,6 +231,7 @@ func (c *Client) Fork() *Client {
 	}
 	c.mu.Lock()
 	n.mapVersion = c.mapVersion
+	n.mapSeen = c.mapSeen
 	n.pins = make(map[namespace.Ino]int, len(c.pins))
 	for k, v := range c.pins {
 		n.pins[k] = v
@@ -392,8 +392,8 @@ func (c *Client) call(ctx context.Context, mdsID int, m rpc.Method, body []byte)
 
 // callIdem issues an idempotent (read-only) RPC, retrying transport
 // failures — lost connection, expired deadline — with exponential backoff
-// inside the retry budget. Mutating RPCs never come through here: a
-// create retried across a timeout could double-apply.
+// inside the retry budget. Mutations never come through here: they
+// retry whole, under their replay identity, in retryOp.
 func (c *Client) callIdem(ctx context.Context, mdsID int, m rpc.Method, body []byte) ([]byte, error) {
 	out, err := c.call(ctx, mdsID, m, body)
 	if err == nil || !rpc.IsRetryable(err) {
@@ -431,6 +431,7 @@ func (c *Client) refreshMap(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mapVersion = version
+	c.mapSeen = max(c.mapSeen, version)
 	c.pins = make(map[namespace.Ino]int, len(pins))
 	for _, p := range pins {
 		c.pins[p.Ino] = p.MDS
@@ -494,33 +495,32 @@ func (c *Client) pinOf(ino namespace.Ino) (int, bool) {
 
 // observeGrants folds a response's grant trailer into the cache.
 // Replica-served responses never carry grants, so a nil slice is the
-// common no-op.
-func (c *Client) observeGrants(grants []lease.Grant, ownMutation bool) {
+// common no-op. A grant naming a map version newer than any the client
+// has seen means owners or read replicas moved: the map is refreshed
+// once for that version, so new read replicas are used without waiting
+// for an error to force the refresh.
+func (c *Client) observeGrants(ctx context.Context, grants []lease.Grant, ownMutation bool) {
 	if c.cache == nil {
 		return
 	}
+	var newest uint64
 	for _, g := range grants {
 		if ownMutation {
 			c.cache.ObserveMutation(g)
 		} else {
 			c.cache.Observe(g)
 		}
+		newest = max(newest, g.MapVersion)
 	}
-}
-
-// decodeInodeGrants splits a single-inode response into the inode and
-// its grant trailer.
-func decodeInodeGrants(body []byte) (*namespace.Inode, []lease.Grant, error) {
-	r := rpc.NewReader(body)
-	blob := r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, nil, err
+	c.mu.Lock()
+	stale := newest > c.mapSeen
+	if stale {
+		c.mapSeen = newest
 	}
-	in, err := namespace.DecodeInode(blob)
-	if err != nil {
-		return nil, nil, err
+	c.mu.Unlock()
+	if stale {
+		_ = c.refreshMap(ctx)
 	}
-	return in, lease.DecodeGrants(r), nil
 }
 
 // decodeInodesGrants splits an inode-list response into the list and
@@ -559,8 +559,10 @@ type resolveResult struct {
 }
 
 // resolveAt resolves a run of components in one RPC, following
-// not-owner redirects by refreshing the partition map.
-func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino, names []string) (resolveResult, int, error) {
+// not-owner redirects by refreshing the partition map. ownerOnly keeps
+// the read off the read replicas, for callers that act on the answer
+// (a replica may still hold an entry the owner has changed or removed).
+func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino, names []string, ownerOnly bool) (resolveResult, int, error) {
 	var w rpc.Wire
 	w.U64(uint64(parent)).U32(uint32(len(names)))
 	for _, n := range names {
@@ -570,7 +572,10 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 	// replicas; any error from a replica (stale, dropped, plain missing)
 	// falls straight back to the write owner — replicas never speak
 	// authoritatively, least of all about absence.
-	target, spread := c.readTarget(parent, owner)
+	target, spread := owner, false
+	if !ownerOnly {
+		target, spread = c.readTarget(parent, owner)
+	}
 	for attempt := 0; attempt < 4; attempt++ {
 		body, err := c.callIdem(ctx, target, mds.MethodResolvePath, w.Bytes())
 		if err != nil {
@@ -629,19 +634,7 @@ func (c *Client) resolveAt(ctx context.Context, owner int, parent namespace.Ino,
 // one per component — and zero RPCs when the lease cache holds the whole
 // chain.
 func (c *Client) Resolve(path string) ([]*namespace.Inode, int, error) {
-	return c.resolve(context.Background(), path)
-}
-
-func (c *Client) resolve(ctx context.Context, path string) ([]*namespace.Inode, int, error) {
-	return c.resolvePath(ctx, path)
-}
-
-// resolveDir resolves a directory that only needs to be located; with
-// the lease cache keeping every component coherent it is now a plain
-// resolve, kept as a named entry point for the operations whose
-// follow-up RPC is authoritative anyway (create, remove, readdir).
-func (c *Client) resolveDir(ctx context.Context, path string) ([]*namespace.Inode, int, error) {
-	return c.resolvePath(ctx, path)
+	return c.resolvePath(context.Background(), path)
 }
 
 func (c *Client) resolvePath(ctx context.Context, path string) ([]*namespace.Inode, int, error) {
@@ -677,14 +670,14 @@ func (c *Client) resolvePath(ctx context.Context, path string) ([]*namespace.Ino
 		if p, ok := c.pinOf(cur.Ino); ok {
 			owner = p
 		}
-		res, newOwner, err := c.resolveAt(ctx, owner, cur.Ino, comps[i:])
+		res, newOwner, err := c.resolveAt(ctx, owner, cur.Ino, comps[i:], false)
 		if err != nil {
 			return nil, 0, fmt.Errorf("client: resolve %q at %q: %w", path, comps[i], err)
 		}
 		owner = newOwner
 		// Fold the grants in before seeding: each Put below is vouched
 		// by the grant that rode this same response.
-		c.observeGrants(res.grants, false)
+		c.observeGrants(ctx, res.grants, false)
 		grantOf := make(map[namespace.Ino]lease.Grant, len(res.grants))
 		for _, g := range res.grants {
 			grantOf[g.Dir] = g
@@ -812,7 +805,7 @@ func (c *Client) Stat(path string) (*namespace.Inode, error) {
 	ctx, done := c.op("stat")
 	var out *namespace.Inode
 	err := c.retryOp(ctx, []string{path}, func() error {
-		chain, _, err := c.resolve(ctx, path)
+		chain, _, err := c.resolvePath(ctx, path)
 		if err != nil {
 			return err
 		}
@@ -844,62 +837,21 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 	}
 	ctx, done := c.op(opName)
 	dir, name := namespace.ParentPath(path)
+	opID := c.batch.nextOpID()
 	var out *namespace.Inode
-	transportLost := false
 	err := c.retryOp(ctx, []string{dir}, func() error {
-		chain, owner, err := c.resolveDir(ctx, dir)
+		chain, owner, err := c.resolvePath(ctx, dir)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1]
-		if c.batch != nil {
-			in, handled, berr := c.batchCreateOp(ctx, owner, parent.Ino, name, typ, &transportLost)
-			if handled {
-				out = in
-				return berr
-			}
-			// EBUSY batch conflict: fall through to the single-op path,
-			// whose lock-retry loops absorb the race.
-		}
-		var w rpc.Wire
-		w.U64(uint64(parent.Ino)).Str(name).U8(uint8(typ))
-		body, err := c.call(ctx, owner, mds.MethodCreate, w.Bytes())
+		parent := chain[len(chain)-1].Ino
+		in, grants, err := c.mutate(ctx, owner, mds.EncodeBatchCreate(opID, parent, name, typ))
 		if err != nil {
-			if rpc.IsRetryable(err) {
-				transportLost = true
-				return err
-			}
-			if transportLost && mds.ErrCode(err) == mds.CodeExist {
-				// The connection died after a previous attempt reached the
-				// shard (or its promoted backup replayed the write): the
-				// entry is ours. Fetch it instead of surfacing a spurious
-				// EEXIST for our own create.
-				var lw rpc.Wire
-				lw.U64(uint64(parent.Ino)).Str(name)
-				lbody, lerr := c.callIdem(ctx, owner, mds.MethodLookup, lw.Bytes())
-				if lerr == nil {
-					if in, _, derr := decodeInodeGrants(lbody); derr == nil {
-						out = in
-						return nil
-					}
-				}
-			}
 			return err
 		}
-		in, grants, derr := decodeInodeGrants(body)
-		if derr != nil {
-			return derr
-		}
-		// Adopt our own bump (epoch+1, cache intact) and patch in the
-		// new entry under the fresh grant.
-		c.observeGrants(grants, true)
-		if c.cache != nil {
-			for _, g := range grants {
-				if g.Dir == parent.Ino {
-					c.cache.Put(g, name, in)
-				}
-			}
-		}
+		// Our own bump (epoch+1) kept the cache intact; patch in the new
+		// entry under the fresh grant.
+		c.cachePut(grants, parent, name, in)
 		out = in
 		return nil
 	})
@@ -915,45 +867,22 @@ func (c *Client) createEntry(path string, typ namespace.FileType) (*namespace.In
 func (c *Client) Remove(path string) error {
 	ctx, done := c.op("remove")
 	dir, name := namespace.ParentPath(path)
-	transportLost := false
+	opID := c.batch.nextOpID()
 	err := c.retryOp(ctx, []string{dir}, func() error {
-		chain, owner, err := c.resolveDir(ctx, dir)
+		chain, owner, err := c.resolvePath(ctx, dir)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1]
-		if c.batch != nil {
-			if handled, berr := c.batchRemoveOp(owner, parent.Ino, name, &transportLost); handled {
-				return berr
-			}
-		}
-		var w rpc.Wire
-		w.U64(uint64(parent.Ino)).Str(name)
-		body, err := c.call(ctx, owner, mds.MethodRemove, w.Bytes())
+		parent := chain[len(chain)-1].Ino
+		_, grants, err := c.mutate(ctx, owner, mds.EncodeBatchRemove(opID, parent, name))
 		if err != nil {
-			if rpc.IsRetryable(err) {
-				transportLost = true
-				return err
-			}
-			if transportLost && mds.ErrCode(err) == mds.CodeNoEnt {
-				// A previous attempt's remove reached the shard before the
-				// connection died; the entry is gone, which is the outcome
-				// the caller asked for.
-				if c.cache != nil {
-					c.cache.DropEntry(parent.Ino, name)
-				}
-				return nil
-			}
 			return err
 		}
 		if c.cache != nil {
-			// The response body is just the grant trailer. The name is
-			// now proven absent: adopt our bump and cache the negative.
-			grants := lease.DecodeGrants(rpc.NewReader(body))
-			c.observeGrants(grants, true)
-			c.cache.DropEntry(parent.Ino, name)
+			// The name is now proven absent: cache the negative.
+			c.cache.DropEntry(parent, name)
 			for _, g := range grants {
-				if g.Dir == parent.Ino {
+				if g.Dir == parent {
 					c.cache.PutNegative(g, name)
 				}
 			}
@@ -973,7 +902,7 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 	ctx, done := c.op("readdir")
 	var out []*namespace.Inode
 	err := c.retryOp(ctx, []string{path}, func() error {
-		chain, owner, err := c.resolveDir(ctx, path)
+		chain, owner, err := c.resolvePath(ctx, path)
 		if err != nil {
 			return err
 		}
@@ -1002,7 +931,7 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 		if c.cache != nil && !spread {
 			// An owner-served listing seeds the whole directory: the
 			// grant vouches every child at once.
-			c.observeGrants(grants, false)
+			c.observeGrants(ctx, grants, false)
 			for _, g := range grants {
 				if g.Dir != dir.Ino {
 					continue
@@ -1026,38 +955,19 @@ func (c *Client) Readdir(path string) ([]*namespace.Inode, error) {
 // Setattr updates size and mode of the entry at path.
 func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode, error) {
 	ctx, done := c.op("setattr")
+	opID := c.batch.nextOpID()
 	var out *namespace.Inode
 	err := c.retryOp(ctx, []string{path}, func() error {
-		chain, owner, err := c.resolve(ctx, path)
+		chain, owner, err := c.resolvePath(ctx, path)
 		if err != nil {
 			return err
 		}
 		in := chain[len(chain)-1]
-		if c.batch != nil {
-			upd, handled, berr := c.batchSetattrOp(owner, in.Ino, in.Parent, size, mode)
-			if handled {
-				out = upd
-				return berr
-			}
-		}
-		var w rpc.Wire
-		w.U64(uint64(in.Ino)).I64(size).U32(uint32(mode))
-		body, err := c.call(ctx, owner, mds.MethodSetattr, w.Bytes())
+		upd, grants, err := c.mutate(ctx, owner, mds.EncodeBatchSetattr(opID, in.Ino, size, mode))
 		if err != nil {
 			return err
 		}
-		upd, grants, derr := decodeInodeGrants(body)
-		if derr != nil {
-			return derr
-		}
-		c.observeGrants(grants, true)
-		if c.cache != nil {
-			for _, g := range grants {
-				if g.Dir == upd.Parent {
-					c.cache.Put(g, upd.Name, upd)
-				}
-			}
-		}
+		c.cachePut(grants, upd.Parent, upd.Name, upd)
 		out = upd
 		return nil
 	})
@@ -1069,66 +979,56 @@ func (c *Client) Setattr(path string, size int64, mode uint16) (*namespace.Inode
 	return out, nil
 }
 
-// Rename moves src to dst. A same-shard rename is one RPC; a cross-shard
-// rename is orchestrated as insert-then-remove (not atomic across
-// shards — the coordinator path of a production system would wrap this in
-// the T_coor transaction the cost model prices).
+// Rename moves src to dst. A same-shard rename is one MethodBatch op,
+// applied atomically; a cross-shard rename is orchestrated as
+// insert-then-remove (not atomic across shards — the coordinator path of
+// a production system would wrap this in the T_coor transaction the cost
+// model prices).
 func (c *Client) Rename(src, dst string) error {
 	ctx, done := c.op("rename")
 	sdir, sname := namespace.ParentPath(src)
 	ddir, dname := namespace.ParentPath(dst)
+	// Two identities: the same-shard rename and the cross-shard path's
+	// remove are different ops, and a retry may switch between them.
+	renameID, removeID := c.batch.nextOpID(), c.batch.nextOpID()
 	err := c.retryOp(ctx, []string{sdir, ddir}, func() error {
-		schain, sowner, err := c.resolve(ctx, sdir)
+		schain, sowner, err := c.resolvePath(ctx, sdir)
 		if err != nil {
 			return err
 		}
-		dchain, downer, err := c.resolve(ctx, ddir)
+		dchain, downer, err := c.resolvePath(ctx, ddir)
 		if err != nil {
 			return err
 		}
-		sparent := schain[len(schain)-1]
-		dparent := dchain[len(dchain)-1]
+		sparent := schain[len(schain)-1].Ino
+		dparent := dchain[len(dchain)-1].Ino
 		if c.cache != nil {
-			defer c.cache.DropEntry(sparent.Ino, sname)
-			defer c.cache.DropEntry(dparent.Ino, dname)
+			defer c.cache.DropEntry(sparent, sname)
+			defer c.cache.DropEntry(dparent, dname)
 		}
 		if sowner == downer {
-			var w rpc.Wire
-			w.U64(uint64(sparent.Ino)).Str(sname).U64(uint64(dparent.Ino)).Str(dname)
-			body, err := c.call(ctx, sowner, mds.MethodRename, w.Bytes())
-			if err != nil {
-				return err
-			}
-			if _, grants, derr := decodeInodeGrants(body); derr == nil {
-				c.observeGrants(grants, true)
-			}
-			return nil
+			_, _, err := c.mutate(ctx, sowner, mds.EncodeBatchRename(renameID, sparent, sname, dparent, dname))
+			return err
 		}
-		// Cross-shard: read, insert remotely, remove locally.
-		var lw rpc.Wire
-		lw.U64(uint64(sparent.Ino)).Str(sname)
-		body, err := c.callIdem(ctx, sowner, mds.MethodLookup, lw.Bytes())
+		// Cross-shard: read from the owner, insert remotely, remove
+		// locally. The inode read here is installed at the destination,
+		// so it must be the owner's, never a lagging replica's.
+		res, sowner, err := c.resolveAt(ctx, sowner, sparent, []string{sname}, true)
 		if err != nil {
 			return err
 		}
-		in, _, err := decodeInodeGrants(body)
-		if err != nil {
-			return err
+		if res.negative || len(res.chain) == 0 {
+			return mds.CodedError(mds.CodeNoEnt, "%q not in dir %d", sname, sparent)
 		}
-		moved := *in
-		moved.Parent = dparent.Ino
+		moved := *res.chain[0]
+		moved.Parent = dparent
 		moved.Name = dname
 		var iw rpc.Wire
 		iw.Blob(namespace.EncodeInode(&moved))
 		if _, err := c.call(ctx, downer, mds.MethodInsert, iw.Bytes()); err != nil {
 			return err
 		}
-		var rw rpc.Wire
-		rw.U64(uint64(sparent.Ino)).Str(sname)
-		rbody, err := c.call(ctx, sowner, mds.MethodRemove, rw.Bytes())
-		if err == nil {
-			c.observeGrants(lease.DecodeGrants(rpc.NewReader(rbody)), true)
-		}
+		_, _, err = c.mutate(ctx, sowner, mds.EncodeBatchRemove(removeID, sparent, sname))
 		return err
 	})
 	done(err)

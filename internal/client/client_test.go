@@ -1,11 +1,16 @@
 package client_test
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"origami/internal/client"
+	"origami/internal/kvstore"
+	"origami/internal/mds"
+	"origami/internal/namespace"
 	"origami/internal/rpc"
 	"origami/internal/server"
 )
@@ -101,6 +106,149 @@ func TestRenameMissingSource(t *testing.T) {
 	}
 }
 
+// TestCrossShardRenameReadsSourceFromOwner: a cross-shard rename copies
+// the source inode to the destination shard, so it must read that inode
+// from the source's owner. A read replica of the source directory that
+// lags the owner — a setattr and a remove it has not applied yet — must
+// not leak into the destination.
+func TestCrossShardRenameReadsSourceFromOwner(t *testing.T) {
+	cl, sdk := startOne(t, 2, "off")
+	dial := func() *client.Client {
+		c, err := client.Dial(client.Config{Addrs: cl.Addrs, Cache: "off"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if err := c.RefreshMap(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	src, err := sdk.Mkdir("/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := sdk.Mkdir("/dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*namespace.Inode
+	for _, name := range []string{"/src/f1", "/src/f2"} {
+		in, err := sdk.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, in)
+	}
+	if err := server.NewCoordinator(cl).Migrate(dst.Ino, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// MDS 1 serves /src from a replica frozen before the owner's setattr
+	// of f1 and remove of f2.
+	stale, err := mds.OpenStore(t.TempDir(), 1, kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stale.Close() })
+	for _, in := range append([]*namespace.Inode{src}, files...) {
+		if err := stale.Put(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sdk.Setattr("/src/f1", 42, 0600); err != nil {
+		t.Fatal(err)
+	}
+	if err := sdk.Remove("/src/f2"); err != nil {
+		t.Fatal(err)
+	}
+	body, err := cl.Conn(0).Call(mds.MethodGetMap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, pins, err := mds.DecodeMap(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := mds.ReplicaMapEntry{Ino: src.Ino, Owner: 0, Epoch: 1, Replicas: []int{1}}
+	for id := range cl.Services {
+		if _, err := cl.Conn(id).Call(mds.MethodSetMap, mds.EncodeMap(version+1, pins, rep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Services[1].SetReplicaProvider(func(ino namespace.Ino) *mds.Store {
+		if ino == src.Ino {
+			return stale
+		}
+		return nil
+	})
+	// The set-up really spreads reads of /src to the lagging replica.
+	rdr := dial()
+	for i := 0; i < 2; i++ {
+		if _, err := rdr.Readdir("/src"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cl.Services[1].Registry().Counter("replica.read.served").Value() == 0 {
+		t.Fatal("no read of /src reached the replica")
+	}
+
+	// Fresh clients: each one's first spread read would pick the replica.
+	if err := dial().Rename("/src/f1", "/dst/f1"); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := sdk.Stat("/dst/f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved.Size != 42 || moved.Mode != 0600 {
+		t.Errorf("moved f1 has size %d mode %o, want the acknowledged setattr's 42 %o", moved.Size, moved.Mode, 0600)
+	}
+	if err := dial().Rename("/src/f2", "/dst/f2"); err == nil || !strings.Contains(err.Error(), mds.CodeNoEnt) {
+		t.Errorf("rename of removed f2 = %v, want ENOENT", err)
+	}
+	if _, err := sdk.Stat("/dst/f2"); err == nil || !strings.Contains(err.Error(), mds.CodeNoEnt) {
+		t.Errorf("stat of /dst/f2 after the failed rename = %v, want ENOENT", err)
+	}
+}
+
+// TestMapRefreshOncePerVersion: every lease grant names the map version
+// its MDS serves, and a caching client refreshes its map once per newer
+// version it sees — not once per response, and not for unrelated
+// directories' lease churn.
+func TestMapRefreshOncePerVersion(t *testing.T) {
+	cl, sdk := startOne(t, 2, "leases")
+	if _, err := sdk.Mkdir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sdk.Mkdir("/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := server.NewCoordinator(cl)
+	getmaps := cl.Services[0].Registry().Counter("rpc.server.getmap.requests")
+	for round, to := range []int{1, 0} {
+		if err := co.Migrate(b.Ino, 1-to, to); err != nil {
+			t.Fatal(err)
+		}
+		before := getmaps.Value()
+		for i := 0; i < 5; i++ {
+			if _, err := sdk.Create(fmt.Sprintf("/a/r%d-f%d", round, i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sdk.Readdir("/a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := getmaps.Value() - before; got != 1 {
+			t.Errorf("round %d: %d map refreshes after one map change, want 1", round, got)
+		}
+		if got, want := sdk.MapVersion(), cl.Services[0].MapVersion(); got != want {
+			t.Errorf("round %d: client map version %d, MDS serves %d", round, got, want)
+		}
+	}
+}
+
 // TestWarmCacheRPCCounts is the headline lease-cache property, proven by
 // counting RPC frames: once the lease cache is warm, Stat (positive and
 // negative) costs zero RPCs and Create costs exactly one.
@@ -148,7 +296,7 @@ func TestWarmCacheRPCCounts(t *testing.T) {
 	}
 
 	// Warm create: the parent chain resolves from cache, so only the
-	// MethodCreate frame goes out — and the response's grant keeps the
+	// MethodBatch frame goes out — and the response's grant keeps the
 	// cache warm (our own epoch bump must not flush it).
 	before = sdk.RPCCount.Load()
 	for i := 0; i < n; i++ {
@@ -374,5 +522,106 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	cl.Services[0].Server().SetFaultInjector(nil)
 	if err := sdk.RefreshMap(); err != nil {
 		t.Fatalf("RefreshMap after recovery: %v", err)
+	}
+}
+
+// TestRenameRulesMatchTree runs each rename case against the sequential
+// spec (namespace.Tree) and a live 1-MDS cluster, and requires the same
+// verdict and the same resulting namespace from both.
+func TestRenameRulesMatchTree(t *testing.T) {
+	_, sdk := startOne(t, 1, "off")
+	tree := namespace.NewTree()
+	layout := []struct {
+		path string
+		typ  namespace.FileType
+	}{
+		{"/a", namespace.TypeDir}, {"/a/b", namespace.TypeDir},
+		{"/f", namespace.TypeFile}, {"/g", namespace.TypeFile},
+		{"/e", namespace.TypeDir}, {"/n", namespace.TypeDir}, {"/n/x", namespace.TypeFile},
+	}
+	probes := []string{"/a", "/a/b", "/a/b/c", "/a/c", "/a/b/e2", "/f", "/g", "/g/x", "/e", "/n", "/n/x", "/z"}
+	treeCode := func(err error) string {
+		for code, sentinel := range map[string]error{
+			mds.CodeInvalid: namespace.ErrInvalid, mds.CodeIsDir: namespace.ErrIsDir,
+			mds.CodeNotDir: namespace.ErrNotDir, mds.CodeNotEmpty: namespace.ErrNotEmpty,
+			mds.CodeNoEnt: namespace.ErrNotFound,
+		} {
+			if errors.Is(err, sentinel) {
+				return code
+			}
+		}
+		if err != nil {
+			return err.Error()
+		}
+		return ""
+	}
+	treeRename := func(src, dst string) error {
+		sdir, sname := namespace.ParentPath(src)
+		ddir, dname := namespace.ParentPath(dst)
+		sc, err := tree.ResolvePath(sdir)
+		if err != nil {
+			return err
+		}
+		dc, err := tree.ResolvePath(ddir)
+		if err != nil {
+			return err
+		}
+		return tree.Rename(sc[len(sc)-1].Ino, sname, dc[len(dc)-1].Ino, dname, 0)
+	}
+	for i, tc := range []struct {
+		name, src, dst, want string
+	}{
+		{"dir into its own subtree", "/a", "/a/b/c", mds.CodeInvalid},
+		{"dir into itself", "/a", "/a/c", mds.CodeInvalid},
+		{"file over dir", "/f", "/e", mds.CodeIsDir},
+		{"dir over file", "/e", "/f", mds.CodeNotDir},
+		{"onto itself", "/f", "/f", ""},
+		{"file over file", "/f", "/g", ""},
+		{"dir deeper", "/e", "/a/b/e2", ""},
+		{"dir over empty dir", "/a/b", "/e", ""},
+		{"dir over non-empty dir", "/e", "/n", mds.CodeNotEmpty},
+		{"into a file", "/f", "/g/x", mds.CodeNotDir},
+		{"missing source", "/missing", "/z", mds.CodeNoEnt},
+	} {
+		// Each case gets a fresh copy of the layout under its own root.
+		root := fmt.Sprintf("/case%d", i)
+		if _, err := sdk.Mkdir(root); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tree.Create(namespace.RootIno, root[1:], namespace.TypeDir, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range layout {
+			var err error
+			if l.typ == namespace.TypeDir {
+				_, err = sdk.Mkdir(root + l.path)
+			} else {
+				_, err = sdk.Create(root + l.path)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir, name := namespace.ParentPath(root + l.path)
+			chain, err := tree.ResolvePath(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tree.Create(chain[len(chain)-1].Ino, name, l.typ, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := treeCode(treeRename(root+tc.src, root+tc.dst)); got != tc.want {
+			t.Fatalf("%s: tree says %q, test wants %q", tc.name, got, tc.want)
+		}
+		if got := mds.ErrCode(sdk.Rename(root+tc.src, root+tc.dst)); got != tc.want {
+			t.Errorf("%s: cluster says %q, tree says %q", tc.name, got, tc.want)
+		}
+		for _, p := range probes {
+			_, terr := tree.ResolvePath(root + p)
+			_, cerr := sdk.Stat(root + p)
+			if (terr == nil) != (cerr == nil) {
+				t.Errorf("%s: after the rename %s exists in tree=%v, cluster=%v", tc.name, p, terr == nil, cerr == nil)
+			}
+		}
 	}
 }

@@ -171,8 +171,8 @@ type DB struct {
 type tracerBox struct{ t *telemetry.Tracer }
 
 // SetTracer installs the span tracer consulted by the write path: every
-// traced write (a context carrying a trace ID reaches PutCtx /
-// DeleteCtx / ApplyBatchCtx) records a "kvstore.commit" span covering
+// traced write (a context carrying a trace ID reaches ApplyBatchCtx)
+// records a "kvstore.commit" span covering
 // the WAL append, memtable insert, durability wait, and any commit-hook
 // wait. Nil removes it. Safe to call while serving.
 func (db *DB) SetTracer(t *telemetry.Tracer) { db.tracer.Store(tracerBox{t}) }
@@ -456,14 +456,9 @@ func (db *DB) markSynced(seq uint64) {
 
 // Put inserts or replaces the value for key.
 func (db *DB) Put(key, value []byte) error {
-	return db.PutCtx(nil, key, value)
-}
-
-// PutCtx is Put carrying the request context for trace propagation.
-func (db *DB) PutCtx(ctx context.Context, key, value []byte) error {
 	k := append([]byte(nil), key...)
 	v := append([]byte(nil), value...)
-	return db.applyWrite(ctx,
+	return db.applyWrite(nil,
 		func(w *wal) error { return w.logPut(key, value) },
 		func() {
 			db.stats.puts.Add(1)
@@ -474,13 +469,8 @@ func (db *DB) PutCtx(ctx context.Context, key, value []byte) error {
 
 // Delete removes key. Deleting an absent key is not an error.
 func (db *DB) Delete(key []byte) error {
-	return db.DeleteCtx(nil, key)
-}
-
-// DeleteCtx is Delete carrying the request context for trace propagation.
-func (db *DB) DeleteCtx(ctx context.Context, key []byte) error {
 	k := append([]byte(nil), key...)
-	return db.applyWrite(ctx,
+	return db.applyWrite(nil,
 		func(w *wal) error { return w.logDelete(key) },
 		func() {
 			db.stats.deletes.Add(1)

@@ -45,12 +45,16 @@ const DefaultTTL = 2 * time.Second
 
 // Grant is one directory's lease state as shipped to a client: the
 // lease identity, its current mutation epoch, and how long the client
-// may trust entries cached under it without revalidation.
+// may trust entries cached under it without revalidation. MapVersion
+// is the partition-map version the granting MDS served: a client
+// holding an older map knows the directory's owner or read replicas
+// may have moved.
 type Grant struct {
-	Dir   namespace.Ino
-	ID    uint64
-	Epoch uint64
-	TTLms uint32
+	Dir        namespace.Ino
+	ID         uint64
+	Epoch      uint64
+	TTLms      uint32
+	MapVersion uint64
 }
 
 // TTL returns the grant's validity window as a duration.

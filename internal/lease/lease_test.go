@@ -185,8 +185,8 @@ func TestClientCacheTTLExpiry(t *testing.T) {
 
 func TestGrantTrailerRoundTrip(t *testing.T) {
 	grants := []Grant{
-		{Dir: 1, ID: 10, Epoch: 3, TTLms: 2000},
-		{Dir: 42, ID: 11, Epoch: 0, TTLms: 500},
+		{Dir: 1, ID: 10, Epoch: 3, TTLms: 2000, MapVersion: 7},
+		{Dir: 42, ID: 11, Epoch: 0, TTLms: 500, MapVersion: 7},
 	}
 	w := &rpc.Wire{}
 	w.Blob([]byte("payload")) // stand-in for the real response body

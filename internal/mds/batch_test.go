@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"origami/internal/commit"
 	"origami/internal/namespace"
 )
 
@@ -32,12 +33,16 @@ func batchCall(t *testing.T, s *Service, clientID uint64, subs [][]byte) []Batch
 func TestBatchApplyPerOpValidation(t *testing.T) {
 	s := localService(t)
 	root := namespace.RootIno
+	e := mustCreate(t, s, root, "e", namespace.TypeDir)
+	batchesBefore := s.store.db.Stats().Batches
 	subs := [][]byte{
 		EncodeBatchCreate(1, root, "a", namespace.TypeFile),
 		EncodeBatchCreate(2, root, "a", namespace.TypeFile), // dup inside the frame
 		EncodeBatchCreate(3, root, "b", namespace.TypeFile),
 		EncodeBatchRemove(4, root, "missing"), // never existed
 		EncodeBatchCreate(5, root, "d", namespace.TypeDir),
+		EncodeBatchCreate(6, e.Ino, "x", namespace.TypeFile),
+		EncodeBatchRemove(7, root, "e"), // not empty once op 5 applied
 	}
 	res := batchCall(t, s, 7, subs)
 	if res[0].Err != nil || res[0].Inode == nil || res[0].Inode.Name != "a" {
@@ -55,6 +60,12 @@ func TestBatchApplyPerOpValidation(t *testing.T) {
 	if res[4].Err != nil || res[4].Inode == nil || !res[4].Inode.IsDir() {
 		t.Errorf("op 4: %+v", res[4])
 	}
+	if res[5].Err != nil {
+		t.Errorf("op 5: %+v", res[5])
+	}
+	if ErrCode(res[6].Err) != CodeNotEmpty {
+		t.Errorf("op 6 (rmdir of a dir the frame filled): err %v, want ENOTEMPTY", res[6].Err)
+	}
 	// A failing op must not poison its frame: the valid ops are visible.
 	for _, name := range []string{"a", "b", "d"} {
 		if _, found, err := s.store.Lookup(root, name); err != nil || !found {
@@ -62,7 +73,7 @@ func TestBatchApplyPerOpValidation(t *testing.T) {
 		}
 	}
 	// The whole frame was one atomic kvstore record.
-	if batches := s.store.db.Stats().Batches; batches != 1 {
+	if batches := s.store.db.Stats().Batches - batchesBefore; batches != 1 {
 		t.Errorf("%d kvstore batch records for one frame, want 1", batches)
 	}
 }
@@ -166,4 +177,67 @@ func TestBatchRejectsOversizedFrame(t *testing.T) {
 	if _, err := s.handleBatch(context.Background(), EncodeBatchRequest(1, nil)); err == nil || !strings.HasPrefix(err.Error(), CodeInvalid) {
 		t.Errorf("empty frame: %v, want %s", err, CodeInvalid)
 	}
+}
+
+// TestBatchRenameIsOneWALRecord: a rename that replaces its destination
+// touches three keys (delete source, delete and rewrite destination) but
+// must land as one atomic WAL record with one commit ack, so a crash can
+// never leave the entry under neither name.
+func TestBatchRenameIsOneWALRecord(t *testing.T) {
+	s := localService(t)
+	s.store.SetCommitter(commit.NewPipeline(commit.SyncFsync, 0, s.reg))
+	a := mustCreate(t, s, namespace.RootIno, "a", namespace.TypeDir)
+	b := mustCreate(t, s, namespace.RootIno, "b", namespace.TypeDir)
+	f := mustCreate(t, s, a.Ino, "f", namespace.TypeFile)
+	mustCreate(t, s, b.Ino, "f", namespace.TypeFile)
+	batches := s.store.db.Stats().Batches
+	acks := s.reg.Counter("commit.ops.acked").Value()
+
+	res := batchOne(t, s, EncodeBatchRename(0, a.Ino, "f", b.Ino, "f"))
+	if res.Err != nil || res.Inode == nil || res.Inode.Ino != f.Ino || res.Inode.Parent != b.Ino {
+		t.Fatalf("rename: %+v", res)
+	}
+	if got := s.store.db.Stats().Batches - batches; got != 1 {
+		t.Errorf("rename wrote %d batch records, want 1", got)
+	}
+	if got := s.reg.Counter("commit.ops.acked").Value() - acks; got != 1 {
+		t.Errorf("rename took %d commit acks, want 1", got)
+	}
+	if in, found, _ := s.store.Getattr(f.Ino); !found || in.Parent != b.Ino {
+		t.Errorf("moved inode not indexed under its new parent: %+v", in)
+	}
+}
+
+// TestBatchSetattrRacingRenameNeverBusy races setattrs against renames of
+// the same inode. A setattr whose pre-pass saw the old binding conflicts
+// under the locks; the shard must re-apply it rather than answer EBUSY.
+func TestBatchSetattrRacingRenameNeverBusy(t *testing.T) {
+	s := localService(t)
+	d := mustCreate(t, s, namespace.RootIno, "d", namespace.TypeDir)
+	f := mustCreate(t, s, d.Ino, "a", namespace.TypeFile)
+	const rounds = 300
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		names := [2]string{"a", "b"}
+		for i := 0; i < rounds; i++ {
+			from, to := names[i%2], names[(i+1)%2]
+			body, err := s.handleBatch(context.Background(), EncodeBatchRequest(0, [][]byte{EncodeBatchRename(0, d.Ino, from, d.Ino, to)}))
+			if err != nil {
+				t.Errorf("rename: %v", err)
+				return
+			}
+			if res, _, err := DecodeBatchResponse(body); err != nil || res[0].Err != nil {
+				t.Errorf("rename %s -> %s: %v %v", from, to, err, res[0].Err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if res := batchOne(t, s, EncodeBatchSetattr(0, f.Ino, int64(i), 0o600)); res.Err != nil {
+			t.Errorf("setattr %d: %v", i, res.Err)
+			break
+		}
+	}
+	<-done
 }

@@ -54,6 +54,19 @@ func twoServices(t *testing.T) (src, dst *Service) {
 	return services[0], services[1]
 }
 
+// migrate runs a whole two-phase migration of root to dest and returns
+// the commit response.
+func migrate(src *Service, root namespace.Ino, dest int) ([]byte, error) {
+	var w rpc.Wire
+	w.U64(uint64(root)).U32(uint32(dest))
+	if _, err := src.handleMigratePrepare(w.Bytes()); err != nil {
+		return nil, err
+	}
+	var cw rpc.Wire
+	cw.U64(uint64(root))
+	return src.handleMigrateCommit(cw.Bytes())
+}
+
 func TestMigrateHandlerMovesSubtree(t *testing.T) {
 	src, dst := twoServices(t)
 	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)
@@ -61,9 +74,7 @@ func TestMigrateHandlerMovesSubtree(t *testing.T) {
 	mustCreate(t, src, d.Ino, "f1", namespace.TypeFile)
 	mustCreate(t, src, sub.Ino, "f2", namespace.TypeFile)
 
-	var w rpc.Wire
-	w.U64(uint64(d.Ino)).U32(1)
-	out, err := src.handleMigrate(w.Bytes())
+	out, err := migrate(src, d.Ino, 1)
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
@@ -102,7 +113,7 @@ func TestMigrateHandlerMissingSubtree(t *testing.T) {
 	src, _ := twoServices(t)
 	var w rpc.Wire
 	w.U64(99999).U32(1)
-	if _, err := src.handleMigrate(w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNoEnt) {
+	if _, err := src.handleMigratePrepare(w.Bytes()); err == nil || !strings.HasPrefix(err.Error(), CodeNoEnt) {
 		t.Errorf("migrate of missing subtree err = %v, want ENOENT", err)
 	}
 }
@@ -117,7 +128,7 @@ func TestMigrateHandlerNoPeers(t *testing.T) {
 	d := mustCreate(t, s, namespace.RootIno, "d", namespace.TypeDir)
 	var w rpc.Wire
 	w.U64(uint64(d.Ino)).U32(1)
-	if _, err := s.handleMigrate(w.Bytes()); err == nil {
+	if _, err := s.handleMigratePrepare(w.Bytes()); err == nil {
 		t.Error("migrate without peer resolver succeeded")
 	}
 }
@@ -200,7 +211,7 @@ func TestMigratePrepareThenCommit(t *testing.T) {
 // shard's lease state for every directory in it — clients still holding
 // those grants re-resolve through the fake redirect (new shard, new
 // lease incarnation) instead of trusting entries the source no longer
-// owns. Covers both the 2PC commit and the one-shot migrate path.
+// owns. The revocation happens at the commit point.
 func TestMigrateRevokesLeases(t *testing.T) {
 	src, _ := twoServices(t)
 	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)
@@ -235,23 +246,6 @@ func TestMigrateRevokesLeases(t *testing.T) {
 		t.Error("post-migration grant reused the revoked lease ID")
 	}
 	if g := src.leases.Grant(sub.Ino); g.ID == gs.ID {
-		t.Error("post-migration grant reused the revoked lease ID")
-	}
-}
-
-func TestOneShotMigrateRevokesLeases(t *testing.T) {
-	src, _ := twoServices(t)
-	d := mustCreate(t, src, namespace.RootIno, "proj", namespace.TypeDir)
-	g := src.leases.Grant(d.Ino)
-	var w rpc.Wire
-	w.U64(uint64(d.Ino)).U32(1)
-	if _, err := src.handleMigrate(w.Bytes()); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	if _, ok := src.leases.Epoch(d.Ino); ok {
-		t.Error("migrated dir's lease survived the one-shot migrate")
-	}
-	if g2 := src.leases.Grant(d.Ino); g2.ID == g.ID {
 		t.Error("post-migration grant reused the revoked lease ID")
 	}
 }

@@ -9,32 +9,31 @@ import (
 	"origami/internal/rpc"
 )
 
-// RPC method numbers of the OrigamiFS metadata protocol.
+// RPC method numbers of the OrigamiFS metadata protocol. Retired methods
+// keep their numbers as blank placeholders so every surviving method's
+// wire number stays stable.
 const (
 	MethodPing rpc.Method = iota + 1
-	MethodLookup
+	_                     // retired: single-component lookup (a one-name MethodResolvePath)
 	MethodGetattr
-	MethodCreate
-	MethodRemove
-	MethodRename
+	_ // retired: create (BatchOpCreate)
+	_ // retired: remove (BatchOpRemove)
+	_ // retired: rename (BatchOpRename)
 	MethodReaddir
-	MethodSetattr
+	_ // retired: setattr (BatchOpSetattr)
 	MethodStats
 	MethodDump
 	MethodIngest
-	MethodMigrate
+	_ // retired: one-shot migrate (the two-phase methods below)
 	MethodGetMap
 	MethodSetMap
+	// MethodInsert installs one inode unconditionally: the destination
+	// half of a client-orchestrated cross-shard rename.
 	MethodInsert
-	// MethodLookupPath resolves a run of path components server-side in
-	// one RPC, stopping at the first missing entry, fake-inode redirect,
-	// or shard boundary — the batching the Eq.-2 cost model assumes
-	// (one RPC per same-owner run of components).
-	MethodLookupPath
+	_ // retired: lookup-path (MethodResolvePath)
 	// Two-phase migration (coordinator-driven): Prepare freezes the
 	// source subtree and ships it to the destination, Commit swaps it
 	// for a fake-inode redirect, Abort rolls the shipped copy back.
-	// The one-shot MethodMigrate remains for wire compatibility.
 	MethodMigratePrepare
 	MethodMigrateCommit
 	MethodMigrateAbort
@@ -52,18 +51,22 @@ const (
 	// MethodBuildInfo returns the process build info (version, go
 	// runtime, uptime, enabled features) as JSON.
 	MethodBuildInfo
-	// MethodResolvePath is MethodLookupPath's cache-coherent successor:
-	// same request, but the response additionally carries a terminal
-	// negative flag (the first missing component under an owned
-	// directory resolves the whole path to "absent" in one round trip,
-	// cacheable as a negative entry) and a lease-grant trailer for every
-	// owned directory the walk traversed, so one warm-up resolve seeds
-	// the client cache for the entire prefix.
+	// MethodResolvePath is the one lookup RPC: it resolves a run of path
+	// components server-side in one round trip, stopping at the first
+	// missing entry, fake-inode redirect, or shard boundary — the
+	// batching the Eq.-2 cost model assumes (one RPC per same-owner run
+	// of components). A missing component under an owned directory sets
+	// a terminal negative flag (cacheable as a negative entry), and a
+	// lease-grant trailer covers every owned directory the walk
+	// traversed, so one warm-up resolve seeds the client cache for the
+	// entire prefix.
 	MethodResolvePath
-	// MethodBatch applies a frame of coalesced small mutations (create,
-	// mkdir, remove, setattr) as one atomic WAL batch record, answering
-	// per-op. Ops carry (clientID, opID) identities for idempotent
-	// replay after transport failures and failover.
+	// MethodBatch is the one mutation RPC: a frame of one or more
+	// create, mkdir, remove, setattr and same-shard rename ops, applied
+	// as one atomic WAL batch record and answered per op. Each op carries
+	// a (clientID, opID) identity so a frame re-sent after a transport
+	// failure is answered from the shard's replay table instead of
+	// applied twice.
 	MethodBatch
 )
 
@@ -89,21 +92,14 @@ const (
 // (rpc.client.<name>.calls, rpc.server.<name>.latency_ns, ...).
 var methodNames = map[rpc.Method]string{
 	MethodPing:           "ping",
-	MethodLookup:         "lookup",
 	MethodGetattr:        "getattr",
-	MethodCreate:         "create",
-	MethodRemove:         "remove",
-	MethodRename:         "rename",
 	MethodReaddir:        "readdir",
-	MethodSetattr:        "setattr",
 	MethodStats:          "stats",
 	MethodDump:           "dump",
 	MethodIngest:         "ingest",
-	MethodMigrate:        "migrate",
 	MethodGetMap:         "getmap",
 	MethodSetMap:         "setmap",
 	MethodInsert:         "insert",
-	MethodLookupPath:     "lookup_path",
 	MethodResolvePath:    "resolve_path",
 	MethodBatch:          "batch",
 	MethodMigratePrepare: "migrate_prepare",

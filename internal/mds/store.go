@@ -9,18 +9,18 @@
 // takes the stripe of its parent directory (shared for reads, exclusive
 // for mutations), so operations on different directories proceed in
 // parallel while same-directory check-then-act sequences (create's
-// exists check, remove's emptiness check) stay atomic. Compound ops
-// that span directories (RemoveEntry on a directory, RenameEntry)
-// acquire their stripes in index order, which keeps them deadlock-free.
-// The lock hierarchy, top to bottom, is:
+// exists check, remove's emptiness check) stay atomic. A MethodBatch
+// frame acquires every stripe its ops touch — a directory remove also
+// the victim's, a rename both parents' and a replaced directory's — in
+// index order, which keeps frames deadlock-free. The lock hierarchy, top
+// to bottom, is:
 //
-//	Service.opMu (migration freeze) → Store stripe(s) → Store.inoMu → kvstore.DB
+//	Service.opMu (migration freeze) → Store.renameMu → Store stripe(s) → Store.inoMu → kvstore.DB
 //
 // A lock is only ever taken below one already held, never above.
 package mds
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -42,9 +42,14 @@ var (
 	// ErrNotEmpty reports a remove (or rename-over) of a non-empty
 	// directory.
 	ErrNotEmpty = errors.New("mds: directory not empty")
-	// ErrNotDir reports a create under a parent that is not a live
-	// directory on this shard.
-	ErrNotDir = errors.New("mds: parent not a directory on this shard")
+	// ErrNotDir reports a create or rename into a parent that is not a
+	// live directory on this shard, or a rename of a directory over a
+	// file.
+	ErrNotDir = errors.New("mds: not a directory")
+	// ErrIsDir reports a rename of a file over a directory.
+	ErrIsDir = errors.New("mds: is a directory")
+	// ErrInvalid reports a rename of a directory into its own subtree.
+	ErrInvalid = errors.New("mds: invalid argument")
 )
 
 // storeStripes is the number of per-directory lock stripes. Power of
@@ -61,6 +66,10 @@ type Store struct {
 	// stripes serialise same-directory operations: an op locks the
 	// stripe of the parent whose entries it touches (shared for reads).
 	stripes [storeStripes]sync.RWMutex
+
+	// renameMu serialises cross-directory renames (see applyBatchOnce).
+	// It nests above the stripes.
+	renameMu sync.Mutex
 
 	// inoMu guards the ino → (parent, name) index. It nests strictly
 	// below the stripes and is never held across a db call that blocks.
@@ -231,20 +240,13 @@ func (s *Store) AllocIno() namespace.Ino {
 }
 
 // Put installs (or replaces) an inode record unconditionally. Migration
-// ingest and cross-shard inserts use it; the create path goes through
-// CreateEntry for its atomic exists check.
+// ingest and cross-shard inserts use it; request-path mutations go
+// through MethodBatch's validated apply.
 func (s *Store) Put(in *namespace.Inode) error {
 	mu := s.stripe(in.Parent)
 	mu.Lock()
 	defer mu.Unlock()
-	return s.putLocked(nil, in)
-}
-
-// putLocked writes the record and updates the ino index. Caller holds
-// the parent's stripe exclusively. ctx (nilable) propagates the
-// request's trace into the kvstore commit.
-func (s *Store) putLocked(ctx context.Context, in *namespace.Inode) error {
-	if err := s.db.PutCtx(ctx, namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in)); err != nil {
+	if err := s.db.Put(namespace.EncodeKey(in.Parent, in.Name), namespace.EncodeInode(in)); err != nil {
 		return err
 	}
 	s.inoMu.Lock()
@@ -267,257 +269,6 @@ func (s *Store) getLocked(parent namespace.Ino, name string) (*namespace.Inode, 
 	return in, true, nil
 }
 
-// deleteLocked removes (parent, name) and deindexes it; caller holds
-// the parent's stripe exclusively. ctx (nilable) propagates the
-// request's trace into the kvstore commit.
-func (s *Store) deleteLocked(ctx context.Context, parent namespace.Ino, name string) error {
-	v, found, err := s.db.Get(namespace.EncodeKey(parent, name))
-	if err != nil {
-		return err
-	}
-	if found {
-		if in, derr := namespace.DecodeInode(v); derr == nil {
-			s.inoMu.Lock()
-			delete(s.byIno, in.Ino)
-			s.inoMu.Unlock()
-		}
-	}
-	return s.db.DeleteCtx(ctx, namespace.EncodeKey(parent, name))
-}
-
-// hasChildLocked reports whether dir has at least one entry; caller
-// holds dir's stripe (blocking concurrent creates under it).
-func (s *Store) hasChildLocked(dir namespace.Ino) (bool, error) {
-	lo, hi := namespace.DirKeyRange(dir)
-	any := false
-	err := s.db.Scan(lo, hi, func(k, v []byte) bool {
-		any = true
-		return false
-	})
-	return any, err
-}
-
-// CreateEntry atomically installs a brand-new entry: the parent must be
-// a live directory on this shard and (parent, name) must be absent.
-// Returns ErrNotDir or ErrExist otherwise. This is the only safe create
-// path under concurrent dispatch — a bare exists-check + Put would let
-// two racing creates of the same name both succeed.
-func (s *Store) CreateEntry(in *namespace.Inode) error {
-	return s.CreateEntryCtx(nil, in)
-}
-
-// CreateEntryCtx is CreateEntry carrying the request context for trace
-// propagation.
-func (s *Store) CreateEntryCtx(ctx context.Context, in *namespace.Inode) error {
-	mu := s.stripe(in.Parent)
-	mu.Lock()
-	defer mu.Unlock()
-	s.inoMu.RLock()
-	pref, ok := s.byIno[in.Parent]
-	s.inoMu.RUnlock()
-	if !ok || !pref.isDir {
-		return ErrNotDir
-	}
-	if _, found, err := s.getLocked(in.Parent, in.Name); err != nil {
-		return err
-	} else if found {
-		return ErrExist
-	}
-	return s.putLocked(ctx, in)
-}
-
-// RemoveEntry atomically deletes (parent, name), enforcing that a
-// directory victim is empty. It locks the parent's stripe and — for a
-// directory — the victim's own stripe, so no create can slip a child
-// under the directory between the emptiness check and the delete.
-// Returns the removed inode.
-func (s *Store) RemoveEntry(parent namespace.Ino, name string) (*namespace.Inode, error) {
-	return s.RemoveEntryCtx(nil, parent, name)
-}
-
-// RemoveEntryCtx is RemoveEntry carrying the request context for trace
-// propagation.
-func (s *Store) RemoveEntryCtx(ctx context.Context, parent namespace.Ino, name string) (*namespace.Inode, error) {
-	for {
-		mu := s.stripe(parent)
-		mu.RLock()
-		in, found, err := s.getLocked(parent, name)
-		mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return nil, ErrNoEnt
-		}
-		locks := []namespace.Ino{parent}
-		if in.IsDir() {
-			locks = append(locks, in.Ino)
-		}
-		unlock := s.lockStripes(locks...)
-		// Re-verify under the write locks: the entry may have been
-		// removed or replaced while we upgraded.
-		cur, found, err := s.getLocked(parent, name)
-		if err != nil {
-			unlock()
-			return nil, err
-		}
-		if !found {
-			unlock()
-			return nil, ErrNoEnt
-		}
-		if cur.Ino != in.Ino || cur.IsDir() != in.IsDir() {
-			unlock()
-			continue // entry changed shape; retry with fresh locks
-		}
-		if cur.IsDir() {
-			any, err := s.hasChildLocked(cur.Ino)
-			if err != nil {
-				unlock()
-				return nil, err
-			}
-			if any {
-				unlock()
-				return nil, ErrNotEmpty
-			}
-		}
-		err = s.deleteLocked(ctx, parent, name)
-		unlock()
-		if err != nil {
-			return nil, err
-		}
-		return cur, nil
-	}
-}
-
-// RenameEntry atomically moves (srcParent, srcName) to (dstParent,
-// dstName) on this shard, replacing an existing destination if it is a
-// file or an empty directory. ctime stamps the moved inode. Both parent
-// stripes (and, when replacing a directory, its stripe) are held for
-// the whole move.
-func (s *Store) RenameEntry(srcParent namespace.Ino, srcName string, dstParent namespace.Ino, dstName string, ctime int64) (*namespace.Inode, error) {
-	return s.RenameEntryCtx(nil, srcParent, srcName, dstParent, dstName, ctime)
-}
-
-// RenameEntryCtx is RenameEntry carrying the request context for trace
-// propagation.
-func (s *Store) RenameEntryCtx(ctx context.Context, srcParent namespace.Ino, srcName string, dstParent namespace.Ino, dstName string, ctime int64) (*namespace.Inode, error) {
-	for {
-		// Peek at the destination to learn whether its stripe is needed
-		// for an emptiness check.
-		dmu := s.stripe(dstParent)
-		dmu.RLock()
-		dst, dstFound, err := s.getLocked(dstParent, dstName)
-		dmu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		locks := []namespace.Ino{srcParent, dstParent}
-		if dstFound && dst.IsDir() {
-			locks = append(locks, dst.Ino)
-		}
-		unlock := s.lockStripes(locks...)
-		in, found, err := s.getLocked(srcParent, srcName)
-		if err != nil {
-			unlock()
-			return nil, err
-		}
-		if !found {
-			unlock()
-			return nil, ErrNoEnt
-		}
-		cur, curFound, err := s.getLocked(dstParent, dstName)
-		if err != nil {
-			unlock()
-			return nil, err
-		}
-		if curFound != dstFound || (curFound && (cur.Ino != dst.Ino || cur.IsDir() != dst.IsDir())) {
-			unlock()
-			continue // destination changed while locking; retry
-		}
-		if curFound {
-			if cur.IsDir() {
-				any, err := s.hasChildLocked(cur.Ino)
-				if err != nil {
-					unlock()
-					return nil, err
-				}
-				if any {
-					unlock()
-					return nil, ErrNotEmpty
-				}
-			}
-			if err := s.deleteLocked(ctx, dstParent, dstName); err != nil {
-				unlock()
-				return nil, err
-			}
-		}
-		if err := s.deleteLocked(ctx, srcParent, srcName); err != nil {
-			unlock()
-			return nil, err
-		}
-		moved := *in
-		moved.Parent = dstParent
-		moved.Name = dstName
-		moved.Ctime = ctime
-		err = s.putLocked(ctx, &moved)
-		unlock()
-		if err != nil {
-			return nil, err
-		}
-		return &moved, nil
-	}
-}
-
-// UpdateAttr atomically applies mutate to the inode numbered ino under
-// its parent's stripe, re-verifying that the ino → (parent, name)
-// binding did not move (a concurrent rename) between the index read and
-// the lock. mutate must not change Ino, Parent, or Name.
-func (s *Store) UpdateAttr(ino namespace.Ino, mutate func(in *namespace.Inode)) (*namespace.Inode, error) {
-	return s.UpdateAttrCtx(nil, ino, mutate)
-}
-
-// UpdateAttrCtx is UpdateAttr carrying the request context for trace
-// propagation.
-func (s *Store) UpdateAttrCtx(ctx context.Context, ino namespace.Ino, mutate func(in *namespace.Inode)) (*namespace.Inode, error) {
-	for {
-		s.inoMu.RLock()
-		ref, ok := s.byIno[ino]
-		s.inoMu.RUnlock()
-		if !ok {
-			return nil, ErrNoEnt
-		}
-		mu := s.stripe(ref.parent)
-		mu.Lock()
-		s.inoMu.RLock()
-		cur, ok := s.byIno[ino]
-		s.inoMu.RUnlock()
-		if !ok {
-			mu.Unlock()
-			return nil, ErrNoEnt
-		}
-		if cur != ref {
-			mu.Unlock()
-			continue // moved while locking; retry against the new home
-		}
-		in, found, err := s.getLocked(ref.parent, ref.name)
-		if err != nil {
-			mu.Unlock()
-			return nil, err
-		}
-		if !found || in.Ino != ino {
-			mu.Unlock()
-			return nil, ErrNoEnt
-		}
-		mutate(in)
-		err = s.putLocked(ctx, in)
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return in, nil
-	}
-}
-
 // Lookup fetches the entry name under parent.
 func (s *Store) Lookup(parent namespace.Ino, name string) (*namespace.Inode, bool, error) {
 	mu := s.stripe(parent)
@@ -538,12 +289,24 @@ func (s *Store) Getattr(ino namespace.Ino) (*namespace.Inode, bool, error) {
 }
 
 // Delete removes the entry name under parent with no emptiness check
-// (migration rollback/removal path; RemoveEntry is the request path).
+// (the migration commit and rollback path).
 func (s *Store) Delete(parent namespace.Ino, name string) error {
 	mu := s.stripe(parent)
 	mu.Lock()
 	defer mu.Unlock()
-	return s.deleteLocked(nil, parent, name)
+	k := namespace.EncodeKey(parent, name)
+	v, found, err := s.db.Get(k)
+	if err != nil {
+		return err
+	}
+	if found {
+		if in, derr := namespace.DecodeInode(v); derr == nil {
+			s.inoMu.Lock()
+			delete(s.byIno, in.Ino)
+			s.inoMu.Unlock()
+		}
+	}
+	return s.db.Delete(k)
 }
 
 // ReadDir lists the direct children of a directory held on this shard.

@@ -14,7 +14,11 @@ const batchMaxOps = 1 << 16
 
 // EncodeBatch frames the sub-bodies into one batch envelope.
 func EncodeBatch(subs [][]byte) []byte {
-	w := &Wire{}
+	size := 4
+	for _, s := range subs {
+		size += 4 + len(s)
+	}
+	w := (&Wire{}).Grow(size)
 	w.U32(uint32(len(subs)))
 	for _, s := range subs {
 		w.Blob(s)

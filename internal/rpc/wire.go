@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire is a tiny append-only encoder for RPC bodies.
@@ -13,6 +14,10 @@ type Wire struct {
 
 // Bytes returns the encoded body.
 func (w *Wire) Bytes() []byte { return w.buf }
+
+// Grow reserves room for n more bytes, so an encoder that knows its
+// body size allocates once instead of growing the buffer field by field.
+func (w *Wire) Grow(n int) *Wire { w.buf = slices.Grow(w.buf, n); return w }
 
 // U8 appends one byte.
 func (w *Wire) U8(v uint8) *Wire { w.buf = append(w.buf, v); return w }

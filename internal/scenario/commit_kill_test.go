@@ -11,8 +11,9 @@ import (
 // checks the acked-but-lost tail against the budget the fleet's own
 // config promises (commit window + the shipper's unshipped tail). The
 // workload's batched frames mean the kill lands on multi-op frames in
-// flight, so the post-failover resends go through the per-op-ID replay
-// path instead of double-applying.
+// flight; the SDK's retry loop re-sends each op on its own under its
+// original (clientID, opID), so the replay table answers an op that
+// had applied instead of applying it twice.
 func TestChaosAsyncCommitKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up a real cluster")
@@ -32,9 +33,8 @@ func TestChaosAsyncCommitKill(t *testing.T) {
 	if res.ClientMetrics.Counters["client.batch.frames"] == 0 {
 		t.Error("workload batch: 16 produced no batched frames — the kill never exercised multi-op replay")
 	}
-	t.Logf("batch frames=%d resends=%d replays=%d; acked=%d lost=%d",
+	t.Logf("batch frames=%d replays=%d; acked=%d lost=%d",
 		res.ClientMetrics.Counters["client.batch.frames"],
-		res.ClientMetrics.Counters["client.batch.resends"],
 		res.ClientMetrics.Counters["client.batch.replays"],
 		res.Workload.Acked, res.Workload.Lost)
 }

@@ -81,11 +81,11 @@ func TestMDSMetricsOverRPC(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("metrics JSON: %v\n%s", err, body)
 	}
-	if snap.Histograms["mds.op.create.latency_ns"].Count == 0 {
-		t.Error("create latency histogram empty after workload")
+	if snap.Histograms["mds.op.batch.latency_ns"].Count == 0 {
+		t.Error("mutation (batch) latency histogram empty after workload")
 	}
-	if snap.Histograms["rpc.server.create.latency_ns"].Count == 0 {
-		t.Error("rpc server-side create histogram empty")
+	if snap.Histograms["rpc.server.batch.latency_ns"].Count == 0 {
+		t.Error("rpc server-side mutation (batch) histogram empty")
 	}
 	if snap.Gauges["mds.store.inodes"] <= 0 {
 		t.Errorf("store inode gauge = %v", snap.Gauges["mds.store.inodes"])
